@@ -83,8 +83,8 @@ class MembershipEvent:
     peer there.  Checkers whose bookkeeping is keyed to a link's
     incarnation (Lemma 2.2's outstanding-ping table) consume this to
     retire state the teardown already retired on the wire — exactly what
-    the online adapters do through ``note_rejoin``/``note_edge_reset``,
-    now visible to offline replay too.
+    the online substrates do through ``CheckSuite.note_relink``, now
+    visible to offline replay too.
     """
 
     time: float

@@ -623,10 +623,11 @@ class PendingPingChecker(Checker):
         ping outstanding from the link's earlier incarnation was retired
         by that teardown (its ack can never arrive — the channel is
         fenced), so it must not make the fresh link's first ping look
-        like a Lemma 2.2 duplicate.  This is the offline-replay twin of
-        the online adapters' ``note_rejoin``/``note_edge_reset``; a
-        ``leave`` deliberately clears nothing — traffic still aimed at a
-        departed pid is exactly what the checker exists to count.
+        like a Lemma 2.2 duplicate.  Offline replay reaches this through
+        the :class:`MembershipEvent`; online substrates call it at the
+        fence, through :meth:`CheckSuite.note_relink`.  A ``leave``
+        deliberately clears nothing — traffic still aimed at a departed
+        pid is exactly what the checker exists to count.
         """
         self.observed += 1
         if verb in ("join", "rejoin"):

@@ -8,12 +8,16 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Ty
 
 from repro.checks.base import Checker
 from repro.checks.dynamic import (
+    EDGE_EXCLUSION,
     EdgeScopedExclusionChecker,
     EpochChannelBoundChecker,
     ResidencyProgressChecker,
     ResidencyQuiescenceChecker,
 )
 from repro.checks.properties import (
+    OVERTAKING,
+    PROGRESS,
+    WX_SAFETY,
     ChannelBoundChecker,
     DinerLocalChecker,
     FifoChecker,
@@ -109,6 +113,49 @@ class CheckSuite:
             if checker.name == name:
                 return checker
         raise KeyError(name)
+
+    def bind_windows(
+        self,
+        *,
+        settle: Optional[float] = None,
+        patience: Optional[float] = None,
+        after: Optional[float] = None,
+    ) -> None:
+        """Bind the eventual properties' judgement windows.
+
+        ``settle`` goes to ◇WX (and to edge-scoped exclusion on a
+        dynamic suite), ``patience`` to wait-freedom and ``after`` to
+        ◇2-BW; a window left ``None`` stays as configured.
+        """
+        if settle is not None:
+            self.checker(WX_SAFETY).settle = settle
+            try:
+                self.checker(EDGE_EXCLUSION).settle = settle
+            except KeyError:
+                pass  # static suite: no edge-scoped variant
+        if patience is not None:
+            self.checker(PROGRESS).patience = patience
+        if after is not None:
+            self.checker(OVERTAKING).after = after
+
+    def note_relink(self, verb: str, pid: int, edges: tuple, time: float) -> None:
+        """A membership delta just rebuilt links online: retire old state.
+
+        Called at the instant a ``rejoin`` or an ``add_edge`` fences the
+        rebuilt channels, before any fresh traffic.  Checkers keyed to a
+        link's incarnation forget it: Lemma 2.2's outstanding pings
+        (``note_membership``) and, on a rejoin, the quiescence ledger's
+        crash instant (``note_rebirth``).  Offline replay gets the ping
+        half from the :class:`~repro.checks.events.MembershipEvent`.
+        """
+        for checker in self.checkers:
+            forget = getattr(checker, "note_membership", None)
+            if forget is not None:
+                forget(verb, pid, edges)
+            if verb == "rejoin":
+                rebirth = getattr(checker, "note_rebirth", None)
+                if rebirth is not None:
+                    rebirth(pid, time)
 
     def observe(self, event) -> List[Violation]:
         """Feed one event; returns (and records) immediate violations."""

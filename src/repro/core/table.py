@@ -37,6 +37,7 @@ from repro.checks.properties import CHANNEL_BOUND, QUIESCENCE
 from repro.checks.suite import CheckConfig, standard_suite
 from repro.checks.verdict import Verdict
 from repro.core.diner import DinerActor, EatCallback
+from repro.core.lifecycle import LifecycleDriver
 from repro.core.workload import AlwaysHungry, Workload
 from repro.detectors.base import FailureDetector, NullDetector
 from repro.detectors.heartbeat import HeartbeatDetector
@@ -369,35 +370,44 @@ class DiningTable:
         if callable(install):
             install()
 
-        self._epoch = 0
         self._make_diner = make_diner
         self._on_eat = on_eat
-        if dynamic:
-            # Deltas fire at CONTROL priority in log order (the log is
-            # time-sorted and the kernel breaks same-instant ties by
-            # scheduling order), so the live epoch counter walks the
-            # timeline's snapshots in lock-step.
-            self.sim.set_membership_handler(self._apply_delta)
-            for delta in self.membership:
-                self.sim.schedule_at(
-                    delta.time,
-                    lambda d=delta: self.sim.apply_membership_delta(d),
-                    priority=EventPriority.CONTROL,
-                    label=f"membership {delta.verb} {delta.pid}",
-                )
+        self._lifecycle = LifecycleDriver(self)
+        # Deltas fire at CONTROL priority in log order (the log is
+        # time-sorted and the kernel breaks same-instant ties by
+        # scheduling order), so the driver's epoch counter walks the
+        # timeline's snapshots in lock-step.
+        for delta in self.membership:
+            self.sim.schedule_at(
+                delta.time,
+                lambda d=delta: self._apply_delta(d),
+                priority=EventPriority.CONTROL,
+                label=f"membership {delta.verb} {delta.pid}",
+            )
 
         self._started = False
 
     # ------------------------------------------------------------------
-    # Dynamic membership
+    # Dynamic membership: the primitives repro.core.lifecycle drives
     # ------------------------------------------------------------------
     @property
     def epoch(self) -> int:
         """The current topology epoch (0 on static runs)."""
-        return self._epoch
+        return self._lifecycle.epoch
 
-    def _spawn_diner(self, pid: ProcessId, neighbors, *, replace: bool) -> None:
-        """Build, register, and start a fresh incarnation of ``pid``."""
+    @property
+    def now(self) -> Instant:
+        return self.sim.now
+
+    def live_diner(self, pid: ProcessId) -> Optional[DinerActor]:
+        diner = self.diners.get(pid)
+        return diner if diner is not None and not diner.crashed else None
+
+    def is_local(self, pid: ProcessId) -> bool:
+        return True
+
+    def spawn(self, pid: ProcessId, neighbors, *, replace: bool) -> DinerActor:
+        """Build and register a fresh incarnation of ``pid`` (not started)."""
         diner = self._make_diner(
             pid,
             self.union_graph,
@@ -411,95 +421,21 @@ class DiningTable:
         self.diners[pid] = diner
         self.network.register(diner, replace=replace)
         if self._check_adapter is not None:
-            self._check_adapter.install_diner(diner)
-            if replace:
-                self._check_adapter.note_rejoin(pid)
-        diner.on_start()
-        diner.reevaluate()
+            self._check_adapter.install_diner(diner, reborn=replace)
+        return diner
 
-    def _live_diner(self, pid: ProcessId) -> Optional[DinerActor]:
-        diner = self.diners.get(pid)
-        return diner if diner is not None and not diner.crashed else None
+    def retire(self, pid: ProcessId) -> None:
+        self.network.crash(pid)
+
+    def fence_edge(self, a: ProcessId, b: ProcessId) -> None:
+        self.network.fence_channels(a, b)
+
+    def run_step(self, step: Callable[[], None], label: str, pid: ProcessId) -> None:
+        step()
 
     def _apply_delta(self, delta: MembershipDelta) -> None:
-        """Execute one membership delta at its scheduled instant.
-
-        The epoch counter advances first, so the trace record and every
-        epoch-stamped witness agree with the timeline's snapshot index.
-        Neighbor notification order is the view's sorted neighbor tuple:
-        deterministic, like every other same-instant ordering here.
-        """
-        epoch = self._epoch + 1
-        self._epoch = epoch
-        view = self.timeline.snapshots()[epoch].graph
-        previous = self.timeline.snapshots()[epoch - 1].graph
-        verb = delta.verb
-        pid = delta.pid
-        record_edges: tuple = ()
-        if verb == "join":
-            record_edges = delta.edges
-            neighbors = view.neighbors(pid)
-            # Peers first: when the newcomer's on_start pings, the peers
-            # already carry a hygienic link to answer on.
-            for other in neighbors:
-                peer = self._live_diner(other)
-                if peer is not None:
-                    peer.add_neighbor(pid)
-            self._spawn_diner(pid, neighbors, replace=False)
-        elif verb == "leave":
-            # The same path as a crash: the network emits the Crash trace
-            # record (adapter learns it online), and survivors substitute
-            # the leaver in their Action 5/9 guards exactly as ◇P₁
-            # suspicion would — the leaver's forks are reclaimed without
-            # waiting on a detector that was never scripted to fire.
-            neighbors = previous.neighbors(pid)
-            self.network.crash(pid)
-            for other in neighbors:
-                peer = self._live_diner(other)
-                if peer is not None:
-                    peer.neighbor_left(pid)
-        elif verb == "rejoin":
-            # Membership act, not detector output: silently wipe the old
-            # incarnation's module (suspicions and dead listeners) before
-            # the fresh actor re-subscribes in its on_start.
-            self.detector.module_for(pid).reset()
-            neighbors = view.neighbors(pid)
-            for other in neighbors:
-                peer = self._live_diner(other)
-                if peer is None:
-                    continue
-                if pid in peer.links:
-                    peer.neighbor_rejoined(pid)
-                else:
-                    peer.add_neighbor(pid)
-            self._spawn_diner(pid, neighbors, replace=True)
-        elif verb == "add_edge":
-            peer_pid = delta.peer
-            record_edges = (peer_pid,)
-            if pid in view and peer_pid in view.neighbors(pid):
-                # Traffic from the edge's earlier existence must not
-                # deliver into the rebuilt link state; fence before the
-                # endpoints' (deferred) re-evaluations can send.
-                self.network.fence_channels(pid, peer_pid)
-                if self._check_adapter is not None:
-                    self._check_adapter.note_edge_reset(pid, peer_pid)
-                a = self._live_diner(pid)
-                b = self._live_diner(peer_pid)
-                if a is not None:
-                    a.add_neighbor(peer_pid)
-                if b is not None:
-                    b.add_neighbor(pid)
-        elif verb == "remove_edge":
-            peer_pid = delta.peer
-            record_edges = (peer_pid,)
-            if pid in previous and peer_pid in previous.neighbors(pid):
-                a = self._live_diner(pid)
-                b = self._live_diner(peer_pid)
-                if a is not None:
-                    a.remove_neighbor(peer_pid)
-                if b is not None:
-                    b.remove_neighbor(pid)
-        self.trace.membership_change(self.sim.now, epoch, verb, pid, record_edges)
+        """Execute one membership delta at its scheduled instant."""
+        self._lifecycle.apply(delta)
 
     # ------------------------------------------------------------------
     # Execution
@@ -537,16 +473,7 @@ class DiningTable:
             raise ConfigurationError(
                 "no check suite attached (table built with check_invariants=False)"
             )
-        if settle is not None:
-            self.checks.checker("wx-safety").settle = settle
-            try:
-                self.checks.checker("edge-exclusion").settle = settle
-            except KeyError:
-                pass  # static suite: no edge-scoped variant
-        if patience is not None:
-            self.checks.checker("progress").patience = patience
-        if after is not None:
-            self.checks.checker("overtaking").after = after
+        self.checks.bind_windows(settle=settle, patience=patience, after=after)
         return self.checks.finalize(self.sim.now)
 
     def violations(self) -> List[analysis.ExclusionViolation]:

@@ -32,11 +32,12 @@ the campaign layer sees a uniform Verdict either way.
 
 from __future__ import annotations
 
+import dataclasses
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.checks import CheckConfig, EDGE_EXCLUSION, FAIL, PropertyVerdict, Verdict, Violation
+from repro.checks import CheckConfig, FAIL, PropertyVerdict, Verdict, Violation
 from repro.checks.properties import CHANNEL_BOUND, FIFO, FORK_UNIQUENESS
 from repro.core.messages import Fork
 from repro.core.table import DiningTable, scripted_detector
@@ -55,6 +56,7 @@ from repro.sim.crash import CrashPlan
 from repro.sim.events import EventPriority
 from repro.sim.monitors import message_layer
 from repro.sim.network import NetworkMonitor
+from repro.sim.rng import RandomStreams
 from repro.trace.events import DoorwayChange, PhaseChange
 
 #: Synthetic property name for mutant-raised faults that map to no
@@ -296,63 +298,71 @@ class _CrashTrigger(NetworkMonitor):
 # ----------------------------------------------------------------------
 # Client storms (lease-service path)
 # ----------------------------------------------------------------------
-class _KernelStorm:
-    """Interpret a :class:`~repro.faults.plan.ClientStormSpec` on a table.
+class _ClientStorm:
+    """Interpret a :class:`~repro.faults.plan.ClientStormSpec` on either substrate.
 
     Sessions are driven straight into a :class:`~repro.locks.service.
-    LockCore` — no sockets, the kernel analogue of a ``LockService``
-    client fleet.  Bursts fire on CONTROL-priority timers; each grant
-    either abandons (the killed-connection client: only the TTL reclaims
-    its lease) or releases after the plan's hold time.
+    LockCore` riding the run's diners — no sockets, the in-process
+    analogue of a ``LockService`` client fleet.  The substrate supplies
+    ``later(delay, fn, label)`` (the kernel: a CONTROL-priority timer; the
+    live runtime: ``loop.call_later`` of a ``host.guarded`` step),
+    ``defer(fn)`` for the core's hunger nudges, and ``time_scale``, the
+    substrate seconds per plan second.  Bursts draw their resources from
+    the seed's ``"fuzz/client-storm"`` stream; each grant either abandons
+    (the killed-connection client: only the TTL reclaims its lease) or
+    releases after the plan's hold time.
     """
 
-    def __init__(self, table: DiningTable, plan: FaultPlan) -> None:
+    def __init__(
+        self,
+        plan: FaultPlan,
+        graph,
+        diners,
+        trace,
+        workload,
+        *,
+        clock,
+        defer,
+        later,
+        time_scale: float = 1.0,
+    ) -> None:
         from repro.locks.service import LeaseWorkload, LockCore, default_resources
 
-        self.table = table
         self.spec = plan.storm
-        sim = table.sim
-        self.core = LockCore(
-            default_resources(table.graph),
-            table.diners,
-            clock=lambda: sim.now,
-            defer=lambda fn: sim.schedule_at(
-                sim.now, fn, priority=EventPriority.CONTROL, label="storm-defer"
-            ),
-        )
-        self.core.attach(table.trace)
-        if isinstance(table.workload, LeaseWorkload):
-            table.workload.bind(self.core)
-        self._rng = sim.streams.stream("fuzz/client-storm")
+        self.core = LockCore(default_resources(graph), diners, clock=clock, defer=defer)
+        self.core.attach(trace)
+        if isinstance(workload, LeaseWorkload):
+            workload.bind(self.core)
+        self._later = later
+        self._scale = time_scale
+        self._rng = RandomStreams(plan.seed).stream("fuzz/client-storm")
         self._names = sorted(self.core.resources)
+        self._ttl_ms = max(1, int(round(self.spec.ttl * time_scale * 1000.0)))
 
     def arm(self) -> None:
+        from repro.locks.messages import SESSION_BASE
+
         spec = self.spec
-        sim = self.table.sim
-        session = _storm_session_base()
+        session = SESSION_BASE
         remaining = spec.sessions
         when = spec.start
         while remaining:
             count = min(spec.burst, remaining)
-            ids = list(range(session, session + count))
-            sim.schedule_at(
-                when,
-                lambda ids=ids: self._burst(ids),
-                priority=EventPriority.CONTROL,
-                label="storm-burst",
+            ids = range(session, session + count)
+            self._later(
+                when * self._scale, lambda ids=ids: self._burst(ids), "storm-burst"
             )
             session += count
             remaining -= count
             when += spec.interval
 
     def _burst(self, ids) -> None:
-        ttl_ms = max(1, int(round(self.spec.ttl * 1000.0)))
         for session in ids:
             resource = self._names[self._rng.randrange(len(self._names))]
             self.core.request(
                 session,
                 resource,
-                ttl_ms,
+                self._ttl_ms,
                 lambda message, _s=session: self._reply(_s, message),
             )
 
@@ -364,25 +374,17 @@ class _KernelStorm:
         if self._rng.random() < self.spec.abandon:
             self.core.abandon(session)
             return
-        sim = self.table.sim
         lease_id = message.lease_id
-        sim.schedule_at(
-            sim.now + self.spec.hold,
+        self._later(
+            self.spec.hold * self._scale,
             lambda: self.core.release(session, lease_id),
-            priority=EventPriority.CONTROL,
-            label="storm-release",
+            "storm-release",
         )
 
     def finalize(self, verdict: Verdict, now: float) -> Verdict:
         """Close the service books and judge the lease-backing property."""
         self.core.shutdown()  # flush still-queued waiters (denied: shutdown)
         return _fold_leaked(verdict, self.core, now)
-
-
-def _storm_session_base() -> int:
-    from repro.locks.messages import SESSION_BASE
-
-    return SESSION_BASE
 
 
 def _fold_leaked(verdict: Verdict, core, now: float) -> Verdict:
@@ -547,7 +549,23 @@ def run_plan_kernel(
             _CrashTrigger(table, spec).arm()
     storm = None
     if plan.storm.active:
-        storm = _KernelStorm(table, plan)
+        sim = table.sim
+
+        def later(delay, fn, label):
+            sim.schedule_at(
+                sim.now + delay, fn, priority=EventPriority.CONTROL, label=label
+            )
+
+        storm = _ClientStorm(
+            plan,
+            table.graph,
+            table.diners,
+            table.trace,
+            table.workload,
+            clock=lambda: sim.now,
+            defer=lambda fn: later(0.0, fn, "storm-defer"),
+            later=later,
+        )
         storm.arm()
 
     stopped_early = False
@@ -610,9 +628,10 @@ def run_plan_live(
     are bound (scaled) at finalize; quiescence stays informational (its
     grace is consumed online, before windows could be rebound).
     """
-    from repro.graphs.membership import MembershipDelta, MembershipLog
+    import asyncio
+
+    from repro.graphs.membership import MembershipLog
     from repro.net.host import AsyncHost, HostConfig, run_host
-    from repro.sim.rng import RandomStreams
 
     if time_scale <= 0:
         raise ConfigurationError(f"time_scale must be positive, got {time_scale!r}")
@@ -628,14 +647,7 @@ def run_plan_live(
     membership = plan.membership_log()
     if membership is not None:
         membership = MembershipLog(
-            MembershipDelta(
-                time=delta.time * time_scale,
-                verb=delta.verb,
-                pid=delta.pid,
-                edges=delta.edges,
-                peer=delta.peer,
-            )
-            for delta in membership
+            dataclasses.replace(d, time=d.time * time_scale) for d in membership
         )
 
     model = plan.latency.build()
@@ -661,23 +673,44 @@ def run_plan_live(
         membership=membership,
         run="fuzz",
     )
-    storm_core = None
+    storm = None
     if plan.storm.active:
-        storm_core = _run_host_with_storm(host, plan, time_scale)
+
+        async def run_with_storm() -> _ClientStorm:
+            # The storm shares the host's loop: bursts and releases run
+            # as guarded host steps, so checker and violation capture
+            # see them.
+            loop = asyncio.get_running_loop()
+            armed = _ClientStorm(
+                plan,
+                host.graph,
+                host.diners,
+                host.trace,
+                host.workload,
+                clock=lambda: host.now,
+                defer=lambda fn: loop.call_soon(host.guarded(fn, "storm-defer")),
+                later=lambda delay, fn, label: loop.call_later(
+                    delay, host.guarded(fn, label)
+                ),
+                time_scale=time_scale,
+            )
+            armed.arm()
+            await host.run()
+            return armed
+
+        storm = asyncio.run(run_with_storm())
     else:
         run_host(host)
 
     if judge and windows is not None:
-        host.checks.checker("wx-safety").settle = windows.settle * time_scale
-        host.checks.checker("progress").patience = windows.patience * time_scale
-        host.checks.checker("overtaking").after = windows.after * time_scale
-        try:
-            host.checks.checker(EDGE_EXCLUSION).settle = windows.settle * time_scale
-        except KeyError:
-            pass  # static plan: no edge-scoped checker in the suite
+        host.checks.bind_windows(
+            settle=windows.settle * time_scale,
+            patience=windows.patience * time_scale,
+            after=windows.after * time_scale,
+        )
     verdict = host.verdict()
-    if storm_core is not None:
-        verdict = _fold_leaked(verdict, storm_core, host.now)
+    if storm is not None:
+        verdict = storm.finalize(verdict, host.now)
     # ``host.violations`` mixes checker-forwarded witnesses (already in
     # the verdict, possibly as informational counters) with actor faults
     # the host captured outside the checkers (a mutant raising
@@ -717,81 +750,8 @@ def run_plan_live(
             }
             for e in host.wire_events
         ],
-        storm=storm_core.snapshot() if storm_core is not None else None,
+        storm=storm.core.snapshot() if storm is not None else None,
     )
-
-
-def _run_host_with_storm(host, plan: FaultPlan, time_scale: float):
-    """Run a loopback host while a scaled client storm drives a LockCore.
-
-    The storm shares the host's loop: bursts run inside ``host.guarded``
-    (so checker/violation capture sees them) and releases ride
-    ``loop.call_later`` — the in-process analogue of the socket-borne
-    ``LockService`` path, at fuzz speed.  Returns the core for the
-    caller's books (snapshot + leak judgement).
-    """
-    import asyncio
-
-    from repro.locks.messages import LeaseGrant
-    from repro.locks.service import LeaseWorkload, LockCore, default_resources
-
-    spec = plan.storm
-    core = LockCore(
-        default_resources(host.graph),
-        host.diners,
-        clock=lambda: host.now,
-        defer=lambda fn: host.loop.call_soon(host.guarded(fn, "storm-defer")),
-    )
-    core.attach(host.trace)
-    if isinstance(host.workload, LeaseWorkload):
-        host.workload.bind(core)
-    from repro.sim.rng import RandomStreams
-
-    rng = RandomStreams(plan.seed).stream("fuzz/client-storm")
-    names = sorted(core.resources)
-    ttl_ms = max(1, int(round(spec.ttl * time_scale * 1000.0)))
-
-    def reply(session: int, message) -> None:
-        if type(message) is not LeaseGrant:
-            return
-        if rng.random() < spec.abandon:
-            core.abandon(session)
-            return
-        lease_id = message.lease_id
-        host.loop.call_later(
-            spec.hold * time_scale,
-            host.guarded(lambda: core.release(session, lease_id), "storm-release"),
-        )
-
-    async def drive(runner: "asyncio.Future") -> None:
-        await asyncio.sleep(spec.start * time_scale)
-        session = _storm_session_base()
-        remaining = spec.sessions
-        while remaining and not runner.done():
-            count = min(spec.burst, remaining)
-            for sid in range(session, session + count):
-                resource = names[rng.randrange(len(names))]
-                host.guarded(
-                    lambda _s=sid, _r=resource: core.request(
-                        _s, _r, ttl_ms, lambda m, _s=_s: reply(_s, m)
-                    ),
-                    "storm-request",
-                )()
-            session += count
-            remaining -= count
-            if remaining:
-                await asyncio.sleep(spec.interval * time_scale)
-
-    async def main() -> None:
-        runner = asyncio.ensure_future(host.run())
-        try:
-            await drive(runner)
-        finally:
-            await runner
-
-    asyncio.run(main())
-    core.shutdown()  # flush still-queued waiters (denied: shutdown)
-    return core
 
 
 def run_plan(plan: FaultPlan, *, substrate: str = "kernel", **kwargs) -> FaultRunResult:

@@ -149,18 +149,9 @@ class ClusterSpec:
         """The spec's deltas as a :class:`MembershipLog` (None if static)."""
         if not self.membership:
             return None
-        from repro.graphs.membership import MembershipDelta, MembershipLog
+        from repro.graphs.membership import MembershipLog
 
-        return MembershipLog(
-            MembershipDelta(
-                time=float(delta["time"]),
-                verb=str(delta["verb"]),
-                pid=int(delta["pid"]),
-                edges=tuple(int(e) for e in (delta.get("edges") or ())),
-                peer=int(delta["peer"]) if delta.get("peer") is not None else None,
-            )
-            for delta in self.membership
-        )
+        return MembershipLog.from_json(self.membership)
 
     def timeline(self):
         """The epoched view timeline (None if static)."""

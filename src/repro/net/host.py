@@ -45,8 +45,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from repro.checks import (
-    PENDING_PING,
-    QUIESCENCE,
     CheckConfig,
     DeliverEvent,
     DropEvent,
@@ -59,6 +57,7 @@ from repro.checks import (
     standard_suite,
 )
 from repro.core.diner import DinerActor
+from repro.core.lifecycle import LifecycleDriver
 from repro.core.substrate import ProcessId
 from repro.core.workload import AlwaysHungry, Workload
 from repro.detectors.heartbeat import HeartbeatDetector
@@ -234,7 +233,7 @@ class AsyncHost:
         self.timeline = TopologyTimeline(graph, self.membership) if dynamic else None
         union = self.timeline.union() if dynamic else graph
         self.union_graph = union
-        self._membership_epoch = 0
+        self._lifecycle = LifecycleDriver(self, on_fault=self._record_violation)
         self._pending_membership: List[MembershipDelta] = list(self.membership)
         if dynamic and transport != "loopback":
             # rejoin and edge churn rely on this host's authoritative
@@ -862,14 +861,17 @@ class AsyncHost:
             self._kill_connections()
 
     # ------------------------------------------------------------------
-    # Dynamic membership
+    # Dynamic membership: the primitives repro.core.lifecycle drives
     # ------------------------------------------------------------------
-    def _live_actor(self, pid: ProcessId) -> Optional[DinerActor]:
+    def live_diner(self, pid: ProcessId) -> Optional[DinerActor]:
         actor = self.diners.get(pid)
         return actor if actor is not None and not actor.crashed else None
 
-    def _spawn_actor(self, pid: ProcessId, neighbors, *, replace: bool) -> None:
-        """Build, bind, and start a fresh incarnation of ``pid``."""
+    def is_local(self, pid: ProcessId) -> bool:
+        return self._placement[pid] == self.host_index
+
+    def spawn(self, pid: ProcessId, neighbors, *, replace: bool) -> DinerActor:
+        """Build and bind a fresh incarnation of ``pid`` (not started)."""
         diner = self._make_diner(
             pid,
             self.union_graph,
@@ -882,128 +884,28 @@ class AsyncHost:
         diner.bind_substrate(LiveSubstrate(self, pid))
         self.diners[pid] = diner
         if replace:
-            self._fence_pid(pid)
-        label = ("rejoin" if replace else "join") + f"@{pid}"
+            for key, seq in self._next_seq.items():
+                if pid in key and seq:
+                    self._fences[key] = seq
+        return diner
 
-        def start() -> None:
-            diner.on_start()
-            diner.reevaluate()
+    def retire(self, pid: ProcessId) -> None:
+        self._inject_crash(pid)
 
-        self.guarded(start, label=label, pid=pid)()
-
-    def _fence_pid(self, pid: ProcessId) -> None:
-        """Fence every directed channel touching ``pid`` at its current seq."""
-        for key, seq in self._next_seq.items():
-            if pid in key and seq:
-                self._fences[key] = seq
-        self._clear_pending_pings(lambda pair: pid in pair)
-        try:
-            quiescence = self.checks.checker(QUIESCENCE)
-        except KeyError:
-            quiescence = None
-        if quiescence is not None and hasattr(quiescence, "note_rebirth"):
-            quiescence.note_rebirth(pid, self.now)
-
-    def _fence_edge(self, a: ProcessId, b: ProcessId) -> None:
-        """Fence both directions of edge ``(a, b)`` at their current seq."""
+    def fence_edge(self, a: ProcessId, b: ProcessId) -> None:
         for key in ((a, b), (b, a)):
             seq = self._next_seq.get(key)
             if seq:
                 self._fences[key] = seq
-        self._clear_pending_pings(lambda pair: pair in ((a, b), (b, a)))
 
-    def _clear_pending_pings(self, matches) -> None:
-        """Forget Lemma 2.2 obligations owed by a fenced (dead) channel."""
-        try:
-            checker = self.checks.checker(PENDING_PING)
-        except KeyError:
-            return
-        outstanding = getattr(checker, "_outstanding", None)
-        if outstanding:
-            for pair in [p for p in outstanding if matches(p)]:
-                del outstanding[pair]
+    def run_step(self, step, label: str, pid: ProcessId) -> None:
+        self.guarded(step, label=label, pid=pid)()
 
     def _apply_membership(self) -> None:
-        """Execute the next membership delta (timers fire in log order).
-
-        Mirrors the kernel table's delta interpreter verb for verb: the
-        epoch counter advances first so the trace record and every
-        epoch-stamped witness agree with the timeline's snapshot index;
-        peers learn about a newcomer before its actor starts pinging.
-        """
+        """Execute the next membership delta (timers fire in log order)."""
         if self._finished or not self._pending_membership:
             return
-        delta = self._pending_membership.pop(0)
-        epoch = self._membership_epoch + 1
-        self._membership_epoch = epoch
-        snapshots = self.timeline.snapshots()
-        view = snapshots[epoch].graph
-        previous = snapshots[epoch - 1].graph
-        verb = delta.verb
-        pid = delta.pid
-        record_edges: tuple = ()
-        try:
-            if verb == "join":
-                record_edges = delta.edges
-                neighbors = view.neighbors(pid)
-                for other in neighbors:
-                    peer = self._live_actor(other)
-                    if peer is not None:
-                        peer.add_neighbor(pid)
-                if self._placement[pid] == self.host_index:
-                    self._spawn_actor(pid, neighbors, replace=False)
-            elif verb == "leave":
-                # The same path as a crash: the actor freezes, deliveries
-                # drop, and once every local actor is down the host
-                # severs its connections.  Survivors substitute the
-                # leaver in their Action 5/9 guards immediately.
-                neighbors = previous.neighbors(pid)
-                if self._placement[pid] == self.host_index:
-                    self._inject_crash(pid)
-                for other in neighbors:
-                    peer = self._live_actor(other)
-                    if peer is not None:
-                        peer.neighbor_left(pid)
-            elif verb == "rejoin":
-                # Membership act, not detector output: silently wipe the
-                # old incarnation's module before the fresh actor
-                # re-subscribes in its on_start.
-                self.detector.module_for(pid).reset()
-                neighbors = view.neighbors(pid)
-                for other in neighbors:
-                    peer = self._live_actor(other)
-                    if peer is None:
-                        continue
-                    if pid in peer.links:
-                        peer.neighbor_rejoined(pid)
-                    else:
-                        peer.add_neighbor(pid)
-                if self._placement[pid] == self.host_index:
-                    self._spawn_actor(pid, neighbors, replace=True)
-            elif verb == "add_edge":
-                peer_pid = delta.peer
-                record_edges = (peer_pid,)
-                if pid in view and peer_pid in view.neighbors(pid):
-                    self._fence_edge(pid, peer_pid)
-                    a = self._live_actor(pid)
-                    b = self._live_actor(peer_pid)
-                    if a is not None:
-                        a.add_neighbor(peer_pid)
-                    if b is not None:
-                        b.add_neighbor(pid)
-            elif verb == "remove_edge":
-                peer_pid = delta.peer
-                record_edges = (peer_pid,)
-                if pid in previous and peer_pid in previous.neighbors(pid):
-                    a = self._live_actor(pid)
-                    b = self._live_actor(peer_pid)
-                    if a is not None:
-                        a.remove_neighbor(peer_pid)
-                    if b is not None:
-                        b.remove_neighbor(pid)
-        except Exception as exc:  # noqa: BLE001 - every membership fault is a finding
-            self._record_violation(f"membership {verb}@{pid}: {exc}")
-        self.trace.membership_change(self.now, epoch, verb, pid, record_edges)
+        self._lifecycle.apply(self._pending_membership.pop(0))
         self._after_step(None)
 
     async def _shutdown(self) -> None:

@@ -420,7 +420,7 @@ class KernelCheckAdapter(NetworkMonitor):
         self._mark_pair = mark_pair if mark_locals else None
         self._mark_edge = mark_edge if fork_probe is not None else None
 
-    def install_diner(self, diner) -> None:
+    def install_diner(self, diner, *, reborn: bool = False) -> None:
         """Arm the push-style dirty sinks on one diner.
 
         The diner reports its own mutations — ``on_dirty_link`` with the
@@ -428,10 +428,14 @@ class KernelCheckAdapter(NetworkMonitor):
         ``on_dirty_fork`` with the sorted edge whose fork or token moved
         — replacing the old deliver-side message-kind inference.  Called
         for every diner at :meth:`attach` and for each diner spawned
-        later by a membership join or rejoin.
+        later by a membership join or rejoin.  ``reborn=True`` (a
+        rejoin) also drops the pid from the post-crash send filter:
+        sends to the fresh incarnation are ordinary traffic again.
         """
         diner.on_dirty_link = self._mark_pair
         diner.on_dirty_fork = self._mark_edge
+        if reborn:
+            self._crashing.discard(diner.pid)
 
     def attach(self, sim, network, trace) -> "KernelCheckAdapter":
         self._sim_cell[0] = sim
@@ -578,48 +582,6 @@ class KernelCheckAdapter(NetworkMonitor):
             found = local.record_probe(self._diners, now)
             if found:
                 self._report_all(found)
-
-    # Membership -------------------------------------------------------
-    def note_rejoin(self, pid: ProcessId) -> None:
-        """A fresh incarnation of ``pid`` replaced the departed one.
-
-        Three pieces of adapter state are keyed to the dead incarnation
-        and must not leak into the new life: the quiescence ledger (sends
-        to the rejoined pid are ordinary traffic again — only checkers
-        exposing ``note_rebirth``, i.e. the dynamic suite's, support
-        this), the post-crash send filter, and the Lemma 2.2 outstanding
-        ping table (the old incarnation's unanswered ping would make a
-        survivor's first post-reset ping look like a duplicate).
-        """
-        self._crashing.discard(pid)
-        quiescence = self._quiescence
-        if quiescence is not None and hasattr(quiescence, "note_rebirth"):
-            quiescence.note_rebirth(pid, self._sim_cell[0].now)
-        outstanding = (
-            self._pending_ping._outstanding
-            if self._pending_ping is not None
-            else None
-        )
-        if outstanding:
-            for pair in [p for p in outstanding if pid in p]:
-                del outstanding[pair]
-
-    def note_edge_reset(self, a: ProcessId, b: ProcessId) -> None:
-        """Edge ``(a, b)`` was torn down and rebuilt with hygienic links.
-
-        A ping outstanding from the edge's earlier existence was retired
-        by the teardown (its ack can never arrive — the channel is
-        fenced), so it must not make the rebuilt link's first ping look
-        like a Lemma 2.2 duplicate.
-        """
-        outstanding = (
-            self._pending_ping._outstanding
-            if self._pending_ping is not None
-            else None
-        )
-        if outstanding:
-            outstanding.pop((a, b), None)
-            outstanding.pop((b, a), None)
 
     # Trace records ----------------------------------------------------
     def _on_crash(self, record: Crash) -> None:

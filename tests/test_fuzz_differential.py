@@ -21,7 +21,7 @@ pytestmark = [pytest.mark.fuzz, pytest.mark.live]
 TIME_SCALE = 0.01
 
 
-@pytest.mark.parametrize("index", range(4))
+@pytest.mark.parametrize("index", range(10))
 def test_kernel_and_live_statuses_agree(index):
     plan = sample_plan(n=4, seed=1, index=index, horizon_floor=40.0)
     kernel = run_plan_kernel(plan, judge=False)

@@ -18,6 +18,9 @@ Three layers of coverage:
   property on the same churn plan, an all-static run with an explicit
   empty log stays byte-identical to the pinned golden trace, and a real
   3-process cluster survives a mid-run join + leave.
+* **Known defect** — a leave/rejoin plan whose stale traffic overflows
+  the channel bound is a strict ``xfail`` (docs/MEMBERSHIP.md), with
+  its witness pinned.
 """
 
 from __future__ import annotations
@@ -323,6 +326,32 @@ def test_unreclaimed_leave_mutant_fails_edge_exclusion_with_epoch_witness():
     witness = result.verdict.properties[EDGE_EXCLUSION].first_violation
     assert witness is not None
     assert "epoch" in witness.detail
+
+
+KNOWN_DEFECT_PLAN = Path(__file__).parent / "fixtures" / "known_defect_plan.json"
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason=(
+        "known rejoin defect: residents keep sending to a departed "
+        "neighbour, so stale plus fresh traffic reaches 5 messages in "
+        "transit on edge (8, 24) at t=25.89 (channel-bound)"
+    ),
+)
+def test_known_rejoin_defect_plan_passes():
+    result = run_plan_kernel(FaultPlan.load(str(KNOWN_DEFECT_PLAN)))
+    assert result.ok, result.verdict.describe()
+
+
+def test_known_rejoin_defect_fails_channel_bound_with_pinned_witness():
+    result = run_plan_kernel(FaultPlan.load(str(KNOWN_DEFECT_PLAN)))
+    assert result.failed == ["channel-bound"]
+    witness = result.verdict.properties["channel-bound"].first_violation
+    assert witness.time == 25.89
+    assert witness.subject == (8, 24)
+    assert "5 dining messages in transit on edge (8, 24)" in witness.detail
+    assert "[epoch 3]" in witness.detail
 
 
 @pytest.mark.live
